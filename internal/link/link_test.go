@@ -2,6 +2,7 @@ package link
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -265,6 +266,34 @@ func TestGroupPropagatesPanic(t *testing.T) {
 	g.Add(ra, rb)
 	if err := g.Run(1 * sim.Microsecond); err == nil {
 		t.Fatal("expected error from panicking runner")
+	}
+}
+
+// sinkExplodes is a named frame for TestGroupPanicErrorNamesFrame to find
+// in the recovered stack.
+func sinkExplodes() { panic("boom") }
+
+func TestGroupPanicErrorNamesFrame(t *testing.T) {
+	sa, sb := sim.NewScheduler(1), sim.NewScheduler(2)
+	ra, rb := NewRunner("a", sa), NewRunner("b", sb)
+	ch := NewChannel("ab", 100*sim.Nanosecond, 0)
+	ra.Attach(ch.SideA())
+	rb.Attach(ch.SideB())
+	ch.SideA().SetSink(0, 100, core.SinkFunc(func(sim.Time, core.Message) {}))
+	ch.SideB().SetSink(0, 101, core.SinkFunc(func(sim.Time, core.Message) { sinkExplodes() }))
+	ra.AddComponent(&pinger{name: "p", port: ch.SideA(), interval: 100 * sim.Nanosecond}, 10)
+	g := &Group{}
+	g.Add(ra, rb)
+	err := g.Run(1 * sim.Microsecond)
+	if err == nil {
+		t.Fatal("expected error from panicking runner")
+	}
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "runner b: boom") {
+		t.Fatalf("error %q does not name the runner and panic value", msg)
+	}
+	if !strings.Contains(msg, "link.sinkExplodes(") {
+		t.Fatalf("error lacks the panicking frame:\n%s", msg)
 	}
 }
 

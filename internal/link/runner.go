@@ -3,6 +3,7 @@ package link
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -406,7 +407,7 @@ func (g *Group) run(end sim.Time, pinned int) error {
 			}
 			defer func() {
 				if p := recover(); p != nil {
-					errs[i] = fmt.Errorf("runner %s: %v", r.name, p)
+					errs[i] = fmt.Errorf("runner %s: %v\n%s", r.name, p, debug.Stack())
 					// Unblock peers waiting on us.
 					for _, e := range r.eps {
 						func() {

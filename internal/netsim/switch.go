@@ -38,15 +38,11 @@ type Switch struct {
 	ifaces []*Iface
 	routes map[proto.IP]int
 
-	// The aggregate tier under the per-IP map: prefixes[bits] maps a
-	// masked address to its equal-cost next-hop candidates, and
-	// prefixLens holds the lengths present, longest first, so a lookup is
-	// one map probe per distinct length (datacenter fabrics use two or
-	// three: leaf, pod, default). An empty candidate slice is an explicit
-	// blackhole — the match consumes the packet as unroutable rather than
-	// letting a shorter prefix bounce it back into the fabric.
-	prefixes   map[uint8]map[proto.IP][]int32
-	prefixLens []uint8
+	// lpm is the aggregate tier under the per-IP map. An empty candidate
+	// set is an explicit blackhole — the match consumes the packet as
+	// unroutable rather than letting a shorter prefix bounce it back into
+	// the fabric.
+	lpm prefixTable
 
 	// fcache short-circuits the route tables on the forwarding hot path. It
 	// is a pure cache over the per-IP map and prefix tier — lookups through
@@ -98,33 +94,12 @@ func (s *Switch) SetRoute(ip proto.IP, out int) {
 // an explicit blackhole: addresses inside the prefix with no longer match
 // are dropped here instead of looping through shorter aggregates.
 func (s *Switch) SetPrefixRoute(p proto.Prefix, outs ...int) {
-	cands := make([]int32, len(outs))
-	for i, out := range outs {
+	for _, out := range outs {
 		if out < 0 || out >= len(s.ifaces) {
 			panic(fmt.Sprintf("netsim: %s: prefix route %v via invalid iface %d", s.name, p, out))
 		}
-		cands[i] = int32(out)
 	}
-	if s.prefixes == nil {
-		s.prefixes = make(map[uint8]map[proto.IP][]int32)
-	}
-	m := s.prefixes[p.Bits]
-	if m == nil {
-		m = make(map[proto.IP][]int32)
-		s.prefixes[p.Bits] = m
-		// Keep the present lengths sorted longest-first.
-		at := len(s.prefixLens)
-		for i, l := range s.prefixLens {
-			if p.Bits > l {
-				at = i
-				break
-			}
-		}
-		s.prefixLens = append(s.prefixLens, 0)
-		copy(s.prefixLens[at+1:], s.prefixLens[at:])
-		s.prefixLens[at] = p.Bits
-	}
-	m[p.Addr.Masked(p.Bits)] = cands
+	s.lpm.insert(p, outs)
 	s.invalidateFlowCache()
 }
 
@@ -146,20 +121,14 @@ func (s *Switch) Route(ip proto.IP) (int, bool) {
 	return s.lookupPrefix(ip)
 }
 
-// lookupPrefix resolves ip through the aggregate tier, longest prefix
-// first, spreading equal-cost candidates with the per-destination hash.
+// lookupPrefix resolves ip through the aggregate tier, spreading the
+// longest match's equal-cost candidates with the per-destination hash.
 func (s *Switch) lookupPrefix(ip proto.IP) (int, bool) {
-	for _, bits := range s.prefixLens {
-		cands, ok := s.prefixes[bits][ip.Masked(bits)]
-		if !ok {
-			continue
-		}
-		if len(cands) == 0 {
-			return 0, false // explicit blackhole
-		}
-		return int(cands[ecmpHash(ip)%uint64(len(cands))]), true
+	cands, _ := s.lpm.match(ip)
+	if len(cands) == 0 {
+		return 0, false // no match, or an explicit blackhole
 	}
-	return 0, false
+	return int(cands[ecmpHash(ip)%uint64(len(cands))]), true
 }
 
 // lookup resolves the next hop for ip through the flow cache, falling back
@@ -184,26 +153,16 @@ func (s *Switch) lookup(ip proto.IP) (int, bool) {
 // entries and aggregate (prefix) entries. The scale tests assert the
 // aggregate build keeps perIP+prefix O(pods), not O(hosts).
 func (s *Switch) RouteEntries() (perIP, prefix int) {
-	perIP = len(s.routes)
-	for _, m := range s.prefixes {
-		prefix += len(m)
-	}
-	return perIP, prefix
+	return len(s.routes), len(s.lpm.ents)
 }
 
-// RouteStateBytes estimates the bytes of routing state this switch holds:
-// map-entry overhead for per-IP routes plus key, slice header, and
-// candidate storage for each aggregate. An estimate, but a consistent one —
-// the scale benchmarks track it per host across revisions.
+// RouteStateBytes returns the bytes of routing state this switch holds:
+// the aggregate tier's entries and candidate pool as allocated, plus
+// map-entry overhead for per-IP routes (an estimate of Go's map layout).
+// The scale benchmarks track it per host across revisions.
 func (s *Switch) RouteStateBytes() int {
 	const mapEntry = 16 // ~IP key + int value, amortized bucket overhead
-	bytes := len(s.routes) * mapEntry
-	for _, m := range s.prefixes {
-		for _, cands := range m {
-			bytes += 8 + 24 + 4*len(cands) // key + slice header + outs
-		}
-	}
-	return bytes
+	return len(s.routes)*mapEntry + s.lpm.bytes()
 }
 
 // invalidateFlowCache clears every cached forwarding decision. Called on any

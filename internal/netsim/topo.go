@@ -111,38 +111,16 @@ func (t *Topology) AddAggregate(p proto.Prefix, switches []int, scope []int) int
 // routes instead of global per-IP routes.
 func (t *Topology) Hierarchical() bool { return len(t.Prefixes) > 0 }
 
-// aggIndex answers "does any aggregate contain ip" in O(distinct prefix
-// lengths): one masked-address set per length. The per-host coverage check
-// used to scan the whole prefix list per host — at 10⁶ lazy slots over
-// ~10³ aggregates that linear scan dominated the hierarchical build.
-type aggIndex struct {
-	lens  []uint8
-	byLen map[uint8]map[proto.IP]struct{}
-}
-
-// aggregateIndex builds the coverage index over the declared prefixes.
-func (t *Topology) aggregateIndex() *aggIndex {
-	ix := &aggIndex{byLen: make(map[uint8]map[proto.IP]struct{})}
+// aggregateIndex builds the coverage index over the declared prefixes: a
+// prefix table whose entries carry no candidates, so "does any aggregate
+// contain ip" is one match.
+func (t *Topology) aggregateIndex() *prefixTable {
+	ix := &prefixTable{}
+	ix.reserve(len(t.Prefixes))
 	for _, p := range t.Prefixes {
-		m := ix.byLen[p.Prefix.Bits]
-		if m == nil {
-			m = make(map[proto.IP]struct{})
-			ix.byLen[p.Prefix.Bits] = m
-			ix.lens = append(ix.lens, p.Prefix.Bits)
-		}
-		m[p.Prefix.Addr.Masked(p.Prefix.Bits)] = struct{}{}
+		ix.insert(p.Prefix, nil)
 	}
 	return ix
-}
-
-// covers reports whether any aggregate contains ip.
-func (ix *aggIndex) covers(ip proto.IP) bool {
-	for _, bits := range ix.lens {
-		if _, ok := ix.byLen[bits][ip.Masked(bits)]; ok {
-			return true
-		}
-	}
-	return false
 }
 
 // MakeExternal converts host slot i into a detailed-host attachment point.
@@ -194,9 +172,9 @@ type Built struct {
 	// lazy slots' parameters from it.
 	topo *Topology
 
-	// aggs indexes the aggregate prefixes by length so per-host coverage
-	// checks are O(distinct lengths), not O(prefixes); nil in flat mode.
-	aggs *aggIndex
+	// aggs is the coverage index over the aggregate prefixes, checked for
+	// every host slot; nil in flat mode.
+	aggs *prefixTable
 }
 
 // Topo returns the topology this Built instantiates.
@@ -216,8 +194,10 @@ func (b *Built) MaterializeSlot(i int) *Host {
 	if !th.Lazy {
 		panic(fmt.Sprintf("netsim: slot %d (%s) is not a lazy host", i, th.Name))
 	}
-	if b.topo.Hierarchical() && !b.aggs.covers(th.IP) {
-		panic(fmt.Sprintf("netsim: lazy host %s (%v) is not covered by any aggregate", th.Name, th.IP))
+	if b.topo.Hierarchical() {
+		if _, covered := b.aggs.match(th.IP); !covered {
+			panic(fmt.Sprintf("netsim: lazy host %s (%v) is not covered by any aggregate", th.Name, th.IP))
+		}
 	}
 	net := b.Parts[b.HostPart[i]]
 	sw := b.Switches[th.Switch]
@@ -466,13 +446,35 @@ func (t *Topology) installGlobalRoutes(b *Built, hostIface []int, linkIfaces fun
 	// get theirs at MaterializeSlot), with a loud coverage check: a host
 	// address no aggregate contains would be silently unreachable remotely.
 	for hi, th := range t.Hosts {
-		if !b.aggs.covers(th.IP) {
+		if _, covered := b.aggs.match(th.IP); !covered {
 			panic(fmt.Sprintf("netsim: hierarchical build: host %s (%v) is not covered by any aggregate",
 				th.Name, th.IP))
 		}
 		if hostIface[hi] >= 0 {
 			b.Switches[th.Switch].SetRoute(th.IP, hostIface[hi])
 		}
+	}
+
+	// Size each switch's prefix table once, before installing: a scoped
+	// aggregate lands on its scope and members, a global one on every
+	// switch. Growing by appends instead would leave up to half of each
+	// table's backing array as slack.
+	sizes := make([]int, ns)
+	global := 0
+	for _, p := range t.Prefixes {
+		if p.Scope == nil {
+			global++
+			continue
+		}
+		for _, v := range p.Scope {
+			sizes[v]++
+		}
+		for _, v := range p.Switches {
+			sizes[v]++
+		}
+	}
+	for v, sw := range b.Switches {
+		sw.lpm.reserve(sizes[v] + global)
 	}
 
 	need := make([]bool, ns)

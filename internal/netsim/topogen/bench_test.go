@@ -46,6 +46,7 @@ func reportRoutingState(b *testing.B, built *netsim.Built, hosts int) {
 func benchBuild(b *testing.B, spec topogen.ClosSpec) {
 	var built *netsim.Built
 	var m *topogen.ClosMeta
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		topo, meta := topogen.Clos(spec)
 		built = topo.Build("clos", 1, nil, nil)
