@@ -27,8 +27,8 @@ race:
 	$(GO) test -race ./...
 
 # Multi-core executor gate: the parallel digest/wake/profiling tests under
-# the race detector, so check catches both nondeterminism and data races in
-# the pinned-thread path.
+# the race detector, so check catches both nondeterminism and data races
+# when runner groups execute concurrently.
 parallel:
 	$(GO) test -race -run 'TestParallel' \
 		./internal/link/ ./internal/orch/ ./internal/profiler/

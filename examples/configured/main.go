@@ -53,7 +53,7 @@ func run(name string, choices splitsim.Choices) {
 		panic(err)
 	}
 	const dur = 20 * splitsim.Millisecond
-	inst.RunSequential(dur)
+	inst.Sim.RunSequential(dur)
 	var done uint64
 	for _, c := range clients {
 		done += c.Completed

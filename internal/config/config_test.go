@@ -115,7 +115,7 @@ func TestInstantiateProtocolLevel(t *testing.T) {
 	if inst.Cores() != 1 {
 		t.Fatalf("protocol-level cores = %d, want 1", inst.Cores())
 	}
-	inst.RunSequential(10 * sim.Millisecond)
+	inst.Sim.RunSequential(10 * sim.Millisecond)
 	if *received == 0 || len(*rtts) == 0 {
 		t.Fatal("workload did not run")
 	}
@@ -134,7 +134,7 @@ func TestSameSystemDifferentInstantiations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst.RunSequential(10 * sim.Millisecond)
+	inst.Sim.RunSequential(10 * sim.Millisecond)
 
 	// (b) the server detailed (mixed fidelity).
 	s2, received2, mixedRtts := smallSystem()
@@ -151,7 +151,7 @@ func TestSameSystemDifferentInstantiations(t *testing.T) {
 	if inst2.Detailed["server"] == nil || inst2.NetHosts["cli0"] == nil {
 		t.Fatal("host registries incomplete")
 	}
-	inst2.RunSequential(10 * sim.Millisecond)
+	inst2.Sim.RunSequential(10 * sim.Millisecond)
 	if *received2 == 0 {
 		t.Fatal("mixed-fidelity workload did not run")
 	}
@@ -174,7 +174,7 @@ func TestSameSystemDifferentInstantiations(t *testing.T) {
 	if len(inst3.Parts) != 2 {
 		t.Fatalf("parts = %d, want 2", len(inst3.Parts))
 	}
-	inst3.RunSequential(10 * sim.Millisecond)
+	inst3.Sim.RunSequential(10 * sim.Millisecond)
 	if *received3 == 0 {
 		t.Fatal("partitioned workload did not run")
 	}
@@ -192,7 +192,7 @@ func TestPartitionedCoupledRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := inst.RunCoupled(10 * sim.Millisecond); err != nil {
+	if err := inst.Sim.RunCoupled(10 * sim.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if *received == 0 {
@@ -220,7 +220,7 @@ func TestPartPlacementMatchesSequential(t *testing.T) {
 	}
 
 	refInst, refReceived, refRtts := build()
-	refInst.RunSequential(end)
+	refInst.Sim.RunSequential(end)
 	if *refReceived == 0 {
 		t.Fatal("reference run carried no traffic")
 	}
@@ -239,7 +239,7 @@ func TestPartPlacementMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := inst.RunPlaced(end, p); err != nil {
+		if err := inst.Sim.RunPlaced(end, p); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if *received != *refReceived {

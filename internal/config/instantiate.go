@@ -10,7 +10,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/nicsim"
 	"repro/internal/orch"
-	"repro/internal/sim"
 )
 
 // Choices carries the instantiation decisions — everything about *how* to
@@ -169,28 +168,6 @@ func (s *System) Instantiate(c Choices) (*Instance, error) {
 		inst.Detailed[h.Name] = dh
 	}
 	return inst, nil
-}
-
-// RunSequential executes the instance until end on one scheduler.
-func (i *Instance) RunSequential(end sim.Time) *sim.Scheduler {
-	return i.Sim.RunSequential(end)
-}
-
-// RunCoupled executes the instance with one goroutine per component.
-func (i *Instance) RunCoupled(end sim.Time) error {
-	return i.Sim.RunCoupled(end)
-}
-
-// RunPlaced executes the instance coupled under the given placement.
-func (i *Instance) RunPlaced(end sim.Time, p decomp.Placement) error {
-	return i.Sim.RunPlaced(end, p)
-}
-
-// RunParallel executes the instance under the given placement with the
-// multi-core executor (pinned OS threads, batched sync windows).
-// Bit-identical to RunSequential and RunPlaced.
-func (i *Instance) RunParallel(end sim.Time, p decomp.Placement) error {
-	return i.Sim.RunParallel(end, p)
 }
 
 // Plan resolves a placement against the instance's simulation.

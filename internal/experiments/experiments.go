@@ -28,16 +28,16 @@ type Options struct {
 	// their model predictions under s/percomp/auto). Empty keeps each
 	// experiment's default.
 	Placement string
-	// Parallel executes placed runs with the multi-core executor
-	// (orch.RunParallel: pinned OS threads, batched horizon windows)
-	// instead of the plain coupled executor. Results are bit-identical
-	// either way; only wall-clock measurements change.
+	// Parallel executes placed runs with batched horizon windows
+	// (orch.RunParallel) instead of the plain coupled executor. Results are
+	// bit-identical either way; only sync-message counts and wall-clock
+	// measurements change.
 	Parallel bool
 	// Optimistic executes placed runs with the optimistic executor
 	// (orch.RunOptimistic: groups speculate past their conservative sync
-	// horizons with per-group snapshot/rollback). Implies the parallel
-	// executor's thread placement. Results stay bit-identical; only
-	// wall-clock measurements change.
+	// horizons with per-group snapshot/rollback), with windows batched as
+	// under Parallel. Results stay bit-identical; only sync-message counts
+	// and wall-clock measurements change.
 	Optimistic bool
 	// OptimisticK overrides the speculation depth (sync windows past the
 	// committed horizon) for Optimistic runs. 0 keeps the executor default.

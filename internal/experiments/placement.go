@@ -185,21 +185,19 @@ func PlacementStudy(opts Options) (*PlacementResult, error) {
 
 		run := buildPlacementStudy(opts)
 		sw := newStopwatch()
-		var runErr error
+		var ro orch.RunOptions
 		switch {
 		case opts.Optimistic:
-			oo := orch.DefaultOptimisticOptions()
+			ro = orch.RunOptions{BatchWindows: true, Optimistic: true, MaxWindows: orch.DefaultMaxWindows}
 			if opts.OptimisticK > 0 {
-				oo.MaxWindows = opts.OptimisticK
-			}
-			var pl *orch.ExecutionPlan
-			if pl, runErr = run.s.Plan(p); runErr == nil {
-				_, runErr = pl.RunOptimisticOpts(dur, oo)
+				ro.MaxWindows = opts.OptimisticK
 			}
 		case opts.Parallel:
-			runErr = run.s.RunParallel(dur, p)
-		default:
-			runErr = run.s.RunPlaced(dur, p)
+			ro.BatchWindows = true
+		}
+		pl, runErr := run.s.Plan(p)
+		if runErr == nil {
+			_, runErr = pl.Run(dur, ro)
 		}
 		if runErr != nil {
 			return nil, fmt.Errorf("experiments: placement %s: %w", name, runErr)

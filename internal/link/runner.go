@@ -2,7 +2,6 @@ package link
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -383,28 +382,13 @@ func (g *Group) Add(rs ...*Runner) { g.Runners = append(g.Runners, rs...) }
 // Run starts every runner in its own goroutine and waits for all of them.
 // A panic in any runner is captured and returned as an error after the
 // remaining runners are unblocked by their peers' closed pipes.
-func (g *Group) Run(end sim.Time) error { return g.run(end, 0) }
-
-// RunPinned is Run with the first `pinned` runners each locked to a
-// dedicated OS thread for the duration of the run — the multi-core
-// executor's thread pool. Every runner still gets its own goroutine
-// (runners block on one another, so they must all be schedulable); pinning
-// beyond what the caller asks for is left to the Go scheduler. Callers size
-// `pinned` to GOMAXPROCS (see orch's parallel executor) so each pinned
-// runner maps onto one core's worth of OS-level parallelism.
-func (g *Group) RunPinned(end sim.Time, pinned int) error { return g.run(end, pinned) }
-
-func (g *Group) run(end sim.Time, pinned int) error {
+func (g *Group) Run(end sim.Time) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(g.Runners))
 	for i, r := range g.Runners {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if i < pinned {
-				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
-			}
 			defer func() {
 				if p := recover(); p != nil {
 					errs[i] = fmt.Errorf("runner %s: %v\n%s", r.name, p, debug.Stack())

@@ -210,10 +210,14 @@ func digest(eng *workload.Engine, b *netsim.Built) string {
 		r.FCT.Count(), r.FCT.Mean(), r.FCT.Max(), rx)
 }
 
-// TestPlacementBitIdentity is the standing-invariant property test on the
-// new stack: the same partitioned Clos + workload run under RunSequential,
-// RunPlaced(per-component), and RunPlaced(random placement) must agree on
-// every observable — flow counts, FCT distribution, switch packet counts.
+// TestPlacementBitIdentity is the executor oracle on the paper-shaped
+// stack: the same partitioned Clos + Pareto shuffle workload run under
+// RunSequential, RunPlaced, RunParallel, the optimistic executor at K=1 and
+// K=8, and a mid-run CheckpointSequential resumed by ResumeSequential and
+// ResumePlaced must agree on every observable — flow counts, FCT
+// distribution, switch packet counts — and on the total scheduler events
+// processed, and must leak no pooled frame. The workload engine rides along
+// as aux state, as checkpoints require.
 func TestPlacementBitIdentity(t *testing.T) {
 	const end = 2 * sim.Millisecond
 	spec := workload.Spec{
@@ -222,21 +226,40 @@ func TestPlacementBitIdentity(t *testing.T) {
 		Arrival: workload.Open{FlowsPerSec: 30_000},
 		Seed:    23,
 	}
-	run := func(placement *decomp.Placement) string {
+	// run builds a fresh simulation, executes it with exec (which returns
+	// the events processed before this run: nonzero only for resumes), and
+	// returns the observable digest and total event count.
+	run := func(name string, exec func(s *orch.Simulation) (uint64, error)) (string, uint64) {
 		s, b, hosts := closHosts(t, smallClos, 23, 4)
 		eng := workload.Install(hosts, spec)
-		if placement == nil {
-			s.RunSequential(end)
-		} else if err := s.RunPlaced(end, *placement); err != nil {
-			t.Fatalf("RunPlaced(%v): %v", placement.Groups, err)
+		s.AddAuxState("wl", eng)
+		events, err := exec(s)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, r := range s.Group.Runners {
+			events += r.Scheduler().Processed()
 		}
 		if live := s.LiveFrames(); live != 0 {
-			t.Fatalf("%d frames leaked", live)
+			t.Fatalf("%s: %d frames leaked", name, live)
 		}
-		return digest(eng, b)
+		return digest(eng, b), events
+	}
+	check := func(name string, exec func(s *orch.Simulation) (uint64, error), ref string, refEvents uint64) {
+		t.Helper()
+		got, events := run(name, exec)
+		if got != ref {
+			t.Fatalf("%s diverged:\n  got:        %s\n  sequential: %s", name, got, ref)
+		}
+		if events != refEvents {
+			t.Fatalf("%s: %d events, sequential %d", name, events, refEvents)
+		}
 	}
 
-	ref := run(nil)
+	ref, refEvents := run("sequential", func(s *orch.Simulation) (uint64, error) {
+		s.RunSequential(end)
+		return 0, nil
+	})
 	nComps := 0
 	{
 		// Count components once: partitions (4) plus trunk channels.
@@ -252,10 +275,39 @@ func TestPlacementBitIdentity(t *testing.T) {
 		}
 		placements = append(placements, decomp.Placement{Name: fmt.Sprintf("rand%d", k), Groups: groups})
 	}
+
+	var ck *orch.Checkpoint
+	run("checkpoint", func(s *orch.Simulation) (uint64, error) {
+		var err error
+		ck, err = s.CheckpointSequential(end / 2)
+		return 0, err
+	})
+	check("resume sequential", func(s *orch.Simulation) (uint64, error) {
+		_, err := s.ResumeSequential(ck, end)
+		return ck.BaseEvents, err
+	}, ref, refEvents)
+
 	for _, p := range placements {
 		p := p
-		if got := run(&p); got != ref {
-			t.Fatalf("placement %s diverged:\n  placed:     %s\n  sequential: %s", p.Name, got, ref)
+		check("placed "+p.Name, func(s *orch.Simulation) (uint64, error) {
+			return 0, s.RunPlaced(end, p)
+		}, ref, refEvents)
+		check("parallel "+p.Name, func(s *orch.Simulation) (uint64, error) {
+			return 0, s.RunParallel(end, p)
+		}, ref, refEvents)
+		for _, k := range []int{1, 8} {
+			opts := orch.RunOptions{BatchWindows: true, Optimistic: true, MaxWindows: k}
+			check(fmt.Sprintf("optimistic K=%d %s", k, p.Name), func(s *orch.Simulation) (uint64, error) {
+				pl, err := s.Plan(p)
+				if err != nil {
+					return 0, err
+				}
+				_, err = pl.Run(end, opts)
+				return 0, err
+			}, ref, refEvents)
 		}
+		check("resume placed "+p.Name, func(s *orch.Simulation) (uint64, error) {
+			return ck.BaseEvents, s.ResumePlaced(ck, end, p, orch.RunOptions{})
+		}, ref, refEvents)
 	}
 }

@@ -70,7 +70,7 @@ func ckptDigest(t *testing.T, built *netsim.Built, eng *workload.Engine) uint64 
 // checkpoint at the halfway horizon, restore into a fresh build, run to the
 // end — the final state digest, the total event count, and the leaked-frame
 // count (zero) all match an uninterrupted run exactly. The resumed half
-// runs sequentially, coupled, and parallel-pinned, across GOMAXPROCS
+// runs sequentially, coupled, and with batched windows, across GOMAXPROCS
 // {1, 2, 4, NumCPU}.
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	const (
@@ -126,10 +126,10 @@ func TestCheckpointRestoreBitIdentical(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				modes := []struct {
 					name string
-					opts orch.ParallelOptions
+					opts orch.RunOptions
 				}{
-					{"coupled", orch.ParallelOptions{}},
-					{"parallel", orch.DefaultParallelOptions()},
+					{"coupled", orch.RunOptions{}},
+					{"parallel", orch.RunOptions{BatchWindows: true}},
 				}
 				for _, m := range modes {
 					s2, b2, e2 := buildCkptSim(seed, arrival)
@@ -172,10 +172,10 @@ func TestCheckpointBytesPlacementInvariant(t *testing.T) {
 	}
 	for _, m := range []struct {
 		name string
-		opts orch.ParallelOptions
+		opts orch.RunOptions
 	}{
-		{"coupled", orch.ParallelOptions{}},
-		{"parallel", orch.DefaultParallelOptions()},
+		{"coupled", orch.RunOptions{}},
+		{"parallel", orch.RunOptions{BatchWindows: true}},
 	} {
 		ps, _, _ := buildCkptSim(3, arrival)
 		pck, err := ps.CheckpointPlaced(half, decomp.PerComponent(ps.NumComponents()), m.opts)
@@ -279,7 +279,7 @@ func TestCheckpointMemsimSplit(t *testing.T) {
 
 	ps, pCores, pMem := build()
 	if err := ps.ResumePlaced(ck, dur, decomp.PerComponent(ps.NumComponents()),
-		orch.DefaultParallelOptions()); err != nil {
+		orch.RunOptions{BatchWindows: true}); err != nil {
 		t.Fatalf("ResumePlaced: %v", err)
 	}
 	if d := digest(pCores, pMem); d != refDigest {
@@ -338,5 +338,39 @@ func TestCheckpointRejectsImplicitState(t *testing.T) {
 
 	if _, err := s.CheckpointSequential(sim.Millisecond); !errors.Is(err, core.ErrNotCheckpointable) {
 		t.Fatalf("detailed-host checkpoint: err = %v, want ErrNotCheckpointable", err)
+	}
+}
+
+// bomb is a component that panics at a fixed virtual time.
+type bomb struct {
+	at  sim.Time
+	env core.Env
+}
+
+func (b *bomb) Name() string        { return "bomb" }
+func (b *bomb) Attach(env core.Env) { b.env = env }
+func (b *bomb) Start(end sim.Time)  { b.env.Post(b.at, func() { panic("bomb went off") }) }
+
+// TestCheckpointPlacedPanicSweeps: a component panicking mid-run under
+// CheckpointPlaced surfaces as an error, and the run still sweeps every
+// scheduler — no queued event and no pooled frame stays live after the
+// failed capture.
+func TestCheckpointPlacedPanicSweeps(t *testing.T) {
+	s, _, h2 := twoNets()
+	s.Add(&bomb{at: sim.Millisecond})
+	p := decomp.Placement{Name: "bomb-with-net1", Groups: []int{0, 1, 0}}
+	if _, err := s.CheckpointPlaced(2*sim.Millisecond, p, orch.RunOptions{}); err == nil {
+		t.Fatal("CheckpointPlaced with a panicking component returned no error")
+	}
+	if h2.RxPackets == 0 {
+		t.Fatal("no packets crossed the boundary before the panic")
+	}
+	for _, r := range s.Group.Runners {
+		if n := r.Scheduler().Pending(); n != 0 {
+			t.Errorf("runner %s: %d events still queued after the failed run", r.Name(), n)
+		}
+	}
+	if n := s.LiveFrames(); n != 0 {
+		t.Errorf("%d pooled frames leaked after the failed run", n)
 	}
 }

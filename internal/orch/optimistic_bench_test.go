@@ -78,7 +78,7 @@ func benchOptimistic(b *testing.B, name string,
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := pl.RunOptimistic(benchEnd); err != nil {
+				if _, err := pl.Run(benchEnd, defaultSpecOpts()); err != nil {
 					b.Fatal(err)
 				}
 				for _, r := range s.Group.Runners {

@@ -96,7 +96,7 @@ func (c *specChatter) RestoreState(d *snap.Decoder) error {
 }
 
 func (c *specChatter) WalkSinks(func(string, core.Sink)) {}
-func (c *specChatter) StartRestored(sim.Time)           {}
+func (c *specChatter) StartRestored(sim.Time)            {}
 
 // buildSpecRandom mirrors buildRandom with specChatter components.
 func buildSpecRandom(seed uint64, nComps int) (*orch.Simulation, []*specChatter) {
@@ -187,16 +187,21 @@ func runSpecSeq(build specBuildFn, seed uint64, nComps int, end sim.Time) (uint6
 	return h, n, sched.Processed()
 }
 
+// defaultSpecOpts is RunOptimistic's configuration, for tests that vary K.
+func defaultSpecOpts() orch.RunOptions {
+	return orch.RunOptions{BatchWindows: true, Optimistic: true, MaxWindows: orch.DefaultMaxWindows}
+}
+
 // runSpecOpt runs the build optimistically under p with the given options.
 func runSpecOpt(t *testing.T, build specBuildFn, seed uint64, nComps int, end sim.Time,
-	p decomp.Placement, opts orch.OptimisticOptions) (uint64, uint64, uint64, *orch.SpecReport) {
+	p decomp.Placement, opts orch.RunOptions) (uint64, uint64, uint64, *orch.SpecReport) {
 	t.Helper()
 	s, comps := build(seed, nComps)
 	pl, err := s.Plan(p)
 	if err != nil {
 		t.Fatalf("Plan(%v): %v", p.Groups, err)
 	}
-	rep, err := pl.RunOptimisticOpts(end, opts)
+	rep, err := pl.Run(end, opts)
 	if err != nil {
 		t.Fatalf("RunOptimistic(%v): %v", p.Groups, err)
 	}
@@ -255,7 +260,7 @@ func TestOptimisticDigestMatchesSequential(t *testing.T) {
 					}
 					for _, p := range randPlacements(seed, nComps) {
 						for _, k := range []int{8, 2} {
-							opts := orch.DefaultOptimisticOptions()
+							opts := defaultSpecOpts()
 							opts.MaxWindows = k
 							h, n, events, _ := runSpecOpt(t, bld.build, seed, nComps, end, p, opts)
 							if h != refH || n != refN {
@@ -282,7 +287,7 @@ func TestOptimisticDigestMatchesSequential(t *testing.T) {
 func TestOptimisticSpeculates(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(runtime.NumCPU()))
 	const end = 2 * sim.Millisecond
-	opts := orch.DefaultOptimisticOptions()
+	opts := defaultSpecOpts()
 	opts.MaxWindows = 32
 
 	var total orch.SpecReport
@@ -332,7 +337,7 @@ func TestOptimisticNonStatefulConservative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := pl.RunOptimisticOpts(end, orch.DefaultOptimisticOptions())
+	rep, err := pl.Run(end, defaultSpecOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +386,7 @@ func TestOptimisticAuxStateConservative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := pl.RunOptimisticOpts(end, orch.DefaultOptimisticOptions())
+	rep, err := pl.Run(end, defaultSpecOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +461,7 @@ func TestOptimisticFramesDrained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := pl.RunOptimisticOpts(end, orch.DefaultOptimisticOptions())
+	rep, err := pl.Run(end, defaultSpecOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,14 +540,14 @@ func FuzzOptimisticRollback(f *testing.F) {
 		}
 		p := decomp.Placement{Name: "fuzz", Groups: groups}
 
-		opts := orch.DefaultOptimisticOptions()
+		opts := defaultSpecOpts()
 		opts.MaxWindows = k
 		s, comps := buildSpecRandom(seed, nComps)
 		pl, err := s.Plan(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pl.RunOptimisticOpts(end, opts); err != nil {
+		if _, err := pl.Run(end, opts); err != nil {
 			t.Fatal(err)
 		}
 		var events uint64

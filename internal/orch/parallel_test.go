@@ -45,12 +45,12 @@ func gomaxprocsSweep() []int {
 	return out
 }
 
-// TestParallelDigestMatchesSequential is the tentpole's acceptance
-// property: RunParallel — thread pinning, batched horizon windows,
-// spin-then-park blocking and all — produces bit-identical per-component
-// traces and scheduler event counts to RunSequential, for random
-// placements, at every GOMAXPROCS level. Sync pacing and thread placement
-// must never schedule or reorder a simulation event.
+// TestParallelDigestMatchesSequential is the multi-core executor's
+// acceptance property: RunParallel — batched horizon windows, spin-then-park
+// blocking and all — produces bit-identical per-component traces and
+// scheduler event counts to RunSequential, for random placements, at every
+// GOMAXPROCS level. Sync pacing must never schedule or reorder a simulation
+// event.
 func TestParallelDigestMatchesSequential(t *testing.T) {
 	const end = 2 * sim.Millisecond
 	builders := []struct {
@@ -108,7 +108,9 @@ func TestParallelDigestMatchesSequential(t *testing.T) {
 // TestParallelFramesDrained runs the pooled-frame packet path under the
 // multi-core executor: every frame borrowed from the pool must be returned
 // once the run (including the post-run in-flight sweep) completes, and the
-// delivered packet count must match the sequential run.
+// delivered packet count must match the sequential run. RunParallel batches
+// horizon windows, so it must also exchange fewer sync messages than the
+// unbatched coupled run of the same placement.
 func TestParallelFramesDrained(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(runtime.NumCPU()))
 
@@ -131,33 +133,23 @@ func TestParallelFramesDrained(t *testing.T) {
 	if live := s.LiveFrames(); live != 0 {
 		t.Fatalf("%d pooled frames leaked after parallel run", live)
 	}
+
+	coupled, _, _ := twoNets()
+	if err := coupled.RunPlaced(2*sim.Millisecond, decomp.PerComponent(2)); err != nil {
+		t.Fatal(err)
+	}
+	if batched, fine := syncMsgs(s), syncMsgs(coupled); batched == 0 || batched >= fine {
+		t.Fatalf("RunParallel sent %d syncs, unbatched coupled run %d; want fewer", batched, fine)
+	}
 }
 
-// TestDefaultParallelOptions pins the host-derived executor defaults: never
-// pin on a single core (an OS thread per group buys nothing and costs
-// context switches), pin up to GOMAXPROCS otherwise, and always batch
-// windows (fewer fabric messages for identical results).
-func TestDefaultParallelOptions(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-
-	runtime.GOMAXPROCS(1)
-	opts := orch.DefaultParallelOptions()
-	if opts.Pin {
-		t.Error("GOMAXPROCS=1: Pin should be off")
+// syncMsgs totals the sync messages every runner of the last run sent.
+func syncMsgs(s *orch.Simulation) uint64 {
+	var n uint64
+	for _, r := range s.Group.Runners {
+		n += r.Counters().TxSync
 	}
-	if !opts.BatchWindows {
-		t.Error("BatchWindows should default on")
-	}
-
-	runtime.GOMAXPROCS(4)
-	opts = orch.DefaultParallelOptions()
-	if !opts.Pin || opts.MaxPinned != 4 {
-		t.Errorf("GOMAXPROCS=4: got Pin=%v MaxPinned=%d, want pinning capped at 4",
-			opts.Pin, opts.MaxPinned)
-	}
-	if !opts.BatchWindows {
-		t.Error("BatchWindows should default on")
-	}
+	return n
 }
 
 // TestHostModelParams checks the placement recommender's host tuning: the

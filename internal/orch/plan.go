@@ -2,6 +2,7 @@ package orch
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"repro/internal/core"
@@ -144,9 +145,8 @@ func (s *Simulation) Plan(p decomp.Placement) (*ExecutionPlan, error) {
 // NumGroups returns the number of runner groups.
 func (pl *ExecutionPlan) NumGroups() int { return len(pl.GroupNames) }
 
-// wire connects every channel for execution. scheds holds one scheduler per
-// group; runners, when non-nil, holds the matching coupled runners (nil for
-// the sequential path, which is always one group with no remotes).
+// wire connects every channel for execution; runners holds one runner per
+// group.
 //
 // An intra-group channel becomes direct ports on the group's scheduler —
 // delivery time (send + latency) and ordering source are chosen exactly as
@@ -155,12 +155,12 @@ func (pl *ExecutionPlan) NumGroups() int { return len(pl.GroupNames) }
 // link.Channel between the two runners. Each wiring clears the other mode's
 // port/endpoint references so post-run accounting (ModelGraph) reads
 // whichever was live.
-func (pl *ExecutionPlan) wire(scheds []*sim.Scheduler, runners []*link.Runner) {
+func (pl *ExecutionPlan) wire(runners []*link.Runner) {
 	s := pl.s
 	for _, c := range s.conns {
 		ga, gb := pl.grpOf[c.a.Comp], pl.grpOf[c.b.Comp]
 		if ga == gb {
-			sched := scheds[ga]
+			sched := runners[ga].Scheduler()
 			c.portAB = link.NewDirectPort(sched, c.latency, c.idB, c.b.Sink)
 			c.portBA = link.NewDirectPort(sched, c.latency, c.idA, c.a.Sink)
 			c.epA, c.epB = nil, nil
@@ -181,7 +181,7 @@ func (pl *ExecutionPlan) wire(scheds []*sim.Scheduler, runners []*link.Runner) {
 	for _, t := range s.trunks {
 		ga, gb := pl.grpOf[t.compA], pl.grpOf[t.compB]
 		if ga == gb {
-			sched := scheds[ga]
+			sched := runners[ga].Scheduler()
 			t.ports = t.ports[:0]
 			t.epA, t.epB = nil, nil
 			for i, p := range t.pairs {
@@ -213,58 +213,6 @@ func (pl *ExecutionPlan) wire(scheds []*sim.Scheduler, runners []*link.Runner) {
 	}
 }
 
-// Run executes the plan coupled: one runner (goroutine + scheduler) per
-// group, components attached in registration order with their sequential
-// ordering sources. Runner i carries GroupNames[i] — experiments and the
-// profiler key profiles by these labels. The run is bit-identical to
-// RunSequential for every placement. RunParallel (parallel.go) executes the
-// same plan with runner groups pinned to OS threads and horizon batching.
-func (pl *ExecutionPlan) Run(end sim.Time) error {
-	return pl.execute(end, ParallelOptions{})
-}
-
-// execute is the shared coupled/parallel executor body: build one runner
-// per group, wire the channels, attach components, run the group under the
-// given options, sweep in-flight frames.
-func (pl *ExecutionPlan) execute(end sim.Time, opts ParallelOptions) error {
-	s := pl.s
-	g := &link.Group{}
-	scheds := make([]*sim.Scheduler, pl.NumGroups())
-	runners := make([]*link.Runner, pl.NumGroups())
-	for gi, name := range pl.GroupNames {
-		scheds[gi] = sim.NewScheduler(int32(1000 + gi))
-		runners[gi] = link.NewRunner(name, scheds[gi])
-		runners[gi].SetBatchWindows(opts.BatchWindows)
-		g.Add(runners[gi])
-	}
-	pl.wire(scheds, runners)
-	for gi, members := range pl.groupComps {
-		for _, ci := range members {
-			c := s.comps[ci]
-			runners[gi].AddComponent(c, s.srcOf[c])
-		}
-	}
-	s.Group = g
-	if s.PreRun != nil {
-		s.PreRun(g)
-	}
-	pinned := 0
-	if opts.Pin {
-		pinned = len(runners)
-		if opts.MaxPinned > 0 && pinned > opts.MaxPinned {
-			pinned = opts.MaxPinned
-		}
-	}
-	err := g.RunPinned(end, pinned)
-	// All runner goroutines have joined; sweep every scheduler so frames
-	// still in flight at end return to their pools (leak counters read
-	// zero after every run, any placement).
-	for _, sc := range scheds {
-		sc.DiscardPending(core.ReleaseMessage)
-	}
-	return err
-}
-
 // ModelGraph folds the simulation's per-component model graph to the
 // plan's runner-group level: co-located components merge (their busy times
 // add), intra-group channels vanish, cross-group channels keep their sync
@@ -272,6 +220,18 @@ func (pl *ExecutionPlan) execute(end sim.Time, opts ParallelOptions) error {
 func (pl *ExecutionPlan) ModelGraph(duration sim.Time) ([]decomp.Comp, []decomp.Link, error) {
 	comps, links := pl.s.ModelGraph(duration)
 	return decomp.MergePlacement(comps, links, pl.Placement)
+}
+
+// HostModelParams returns decomposition-model parameters tuned to the
+// executing host rather than the calibrated paper constants: the core
+// budget is GOMAXPROCS and the per-sync cost is measured on this machine's
+// actual channel fabric (link.MeasuredSyncCost — priced once per process,
+// cached thereafter). AutoPlace fed with these parameters weighs core count
+// and real sync cost — it stops splitting beyond the cores that exist and
+// merges groups whose sync bill, at measured prices, exceeds their
+// parallelism win.
+func HostModelParams(duration sim.Time) decomp.Params {
+	return decomp.HostParams(duration, runtime.GOMAXPROCS(0), link.MeasuredSyncCost())
 }
 
 // String renders the plan for `splitsim plan`: a header line, the group
@@ -318,15 +278,4 @@ func (pl *ExecutionPlan) String() string {
 			cost, coupled)
 	}
 	return b.String()
-}
-
-// RunPlaced executes the simulation coupled under the given placement.
-// Simulations with remote connections may use any placement; the remote
-// channels stay synchronized regardless.
-func (s *Simulation) RunPlaced(end sim.Time, p decomp.Placement) error {
-	pl, err := s.Plan(p)
-	if err != nil {
-		return err
-	}
-	return pl.Run(end)
 }

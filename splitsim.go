@@ -190,10 +190,10 @@ type (
 	ExecutionPlan = orch.ExecutionPlan
 	// RecommendOptions tunes the profiler-driven placement recommender.
 	RecommendOptions = decomp.RecommendOptions
-	// ParallelOptions tunes the multi-core executor (thread pinning,
-	// batched horizon windows). The zero value is the plain coupled
-	// executor; DefaultParallelOptions derives the host defaults.
-	ParallelOptions = orch.ParallelOptions
+	// RunOptions tunes ExecutionPlan.Run: batched horizon windows and
+	// optimistic speculation depth. The zero value is the plain coupled
+	// executor.
+	RunOptions = orch.RunOptions
 )
 
 // Placement constructors and the profiler→placement feedback loop.
@@ -215,9 +215,6 @@ var (
 	// host: GOMAXPROCS as the core budget, measured per-sync cost from
 	// the live channel fabric.
 	HostModelParams = orch.HostModelParams
-	// DefaultParallelOptions derives multi-core executor settings from
-	// the host (pin when more than one core, always batch windows).
-	DefaultParallelOptions = orch.DefaultParallelOptions
 	// MeasureSyncCost wall-clock-prices one sync exchange on this
 	// machine's channel fabric.
 	MeasureSyncCost = link.MeasureSyncCost
